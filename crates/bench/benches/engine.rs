@@ -46,7 +46,6 @@ fn engine(backend: BackendKind) -> PatternEngine<ChatPattern> {
             workers: 4,
             queue_depth: 64,
             cache_capacity: 0,
-            max_microbatch: 1,
         },
     )
     .expect("valid config")

@@ -47,7 +47,6 @@ fn run() -> Result<(), String> {
                 workers: 2,
                 queue_depth: conns * (stats_per_conn + 1),
                 cache_capacity: 0,
-                max_microbatch: 1,
             },
         )
         .map_err(|e| format!("engine config: {e}"))?,

@@ -17,11 +17,6 @@
 //! backends above), a `router_fanout` sweep (the batch through a
 //! real spawned `chatpattern-router` fleet at several worker counts;
 //! skipped with a note when the release binaries are not built), a
-//! `microbatch` sweep (an 8-request batch-compatible Generate burst
-//! through a single worker, fused by the drain stage vs. forced solo,
-//! plus the same burst at the denoiser layer through the fused
-//! batched UNet — the kernel where cross-request batching amortizes
-//! the most), and a
 //! `connection_scaling` sweep (C idle + K active connections against
 //! an in-process loopback serve, the 64-thread-capped thread
 //! transport vs. the epoll event loop up to 1024 connections, with
@@ -98,15 +93,6 @@ fn engine(
     backend: BackendKind,
     workers: usize,
 ) -> PatternEngine<Arc<ChatPattern>> {
-    engine_with_microbatch(system, backend, workers, 1)
-}
-
-fn engine_with_microbatch(
-    system: &Arc<ChatPattern>,
-    backend: BackendKind,
-    workers: usize,
-    max_microbatch: usize,
-) -> PatternEngine<Arc<ChatPattern>> {
     PatternEngine::with_config(
         Arc::clone(system),
         EngineConfig {
@@ -117,7 +103,6 @@ fn engine_with_microbatch(
             // cache replay (in-flight coalescing stays active but the
             // batch has distinct seeds, so it never triggers here).
             cache_capacity: 0,
-            max_microbatch,
         },
     )
     .expect("valid engine config")
@@ -157,90 +142,6 @@ fn run_coalescing(system: &Arc<ChatPattern>, cfg: &BenchConfig, workers: usize) 
     }
     let millis = started.elapsed().as_secs_f64() * 1e3;
     (millis, engine.stats().coalesced)
-}
-
-/// A burst of batch-compatible Generate requests (same style/shape,
-/// distinct seeds) through a single-worker thread pool. A tiny
-/// shape-incompatible job pins the worker first, so the whole burst is
-/// sitting in the queue when the worker pops the leader and — with
-/// `max_microbatch > 1` — drains the rest into one fused
-/// `sample_batch` call. With `max_microbatch == 1` every job samples
-/// alone; the ratio of the two runs is the fused-vs-serial speedup.
-/// Returns `(millis, fused_jobs)` where `fused_jobs` is the engine's
-/// `batched` counter (jobs that ran inside a fused execution).
-fn run_microbatch(
-    system: &Arc<ChatPattern>,
-    cfg: &BenchConfig,
-    burst: usize,
-    max_microbatch: usize,
-) -> (f64, u64) {
-    let engine = engine_with_microbatch(system, BackendKind::ThreadPool, 1, max_microbatch);
-    // 4×4 differs from the burst shape, so its fingerprint never
-    // matches and it cannot fuse with (or be drained by) the burst.
-    let blocker = engine.submit_blocking(PatternRequest::Generate(GenerateParams {
-        style: Style::Layer10003,
-        rows: 4,
-        cols: 4,
-        count: 1,
-        seed: 0,
-    }));
-    let started = Instant::now();
-    let handles: Vec<JobHandle> = (0..burst as u64)
-        .map(|seed| {
-            engine.submit_blocking(PatternRequest::Generate(GenerateParams {
-                style: Style::Layer10001,
-                rows: cfg.window,
-                cols: cfg.window,
-                count: 1,
-                seed,
-            }))
-        })
-        .collect();
-    blocker.wait().expect("blocker request completes");
-    for handle in handles {
-        handle.wait().expect("burst request completes");
-    }
-    let millis = started.elapsed().as_secs_f64() * 1e3;
-    (millis, engine.stats().batched)
-}
-
-/// The same 8-compatible-request burst at the denoiser layer: N seeded
-/// reverse processes through the fused batched UNet denoiser
-/// (`sample_batch`, one batch-inner conv pass per step) vs. N serial
-/// `sample` calls. This is where cross-request microbatching pays the
-/// most — the convolution kernel amortizes its weight loads and
-/// boundary checks across the batch — whereas the MRF engine path
-/// above is dominated by per-sample mean-field arithmetic. Also
-/// asserts the fused outputs are byte-identical to the serial ones.
-/// Returns `(serial_millis, fused_millis)`.
-fn run_unet_burst(cfg: &BenchConfig, burst: usize) -> (f64, f64) {
-    use cp_diffusion::{DiffusionModel, NoiseSchedule, UNetDenoiser};
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-
-    let size = 32usize;
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let denoiser = UNetDenoiser::new(8, vec![0], size, &mut rng);
-    let model = DiffusionModel::new(NoiseSchedule::scaled_default(cfg.steps), denoiser, size);
-    // Warm-up pass.
-    let mut warm = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let _ = model.sample(size, size, Some(0), &mut warm);
-
-    let started = Instant::now();
-    let serial: Vec<_> = (0..burst as u64)
-        .map(|seed| {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            model.sample(size, size, Some(0), &mut rng)
-        })
-        .collect();
-    let serial_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    let mut rngs: Vec<ChaCha8Rng> = (0..burst as u64).map(ChaCha8Rng::seed_from_u64).collect();
-    let started = Instant::now();
-    let fused = model.sample_batch(size, size, Some(0), &mut rngs);
-    let fused_ms = started.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(fused, serial, "fused UNet burst must be byte-identical");
-    (serial_ms, fused_ms)
 }
 
 /// The three surgically-optimised inner loops, isolated from the
@@ -1092,25 +993,6 @@ fn main() {
         hit_rate * 100.0
     );
 
-    // Microbatch burst: the same-shape different-seed workload the
-    // drain stage fuses into one `sample_batch` call, vs. the same
-    // burst forced solo. Single worker so the fused-vs-serial delta is
-    // the batched denoiser itself, not thread-level parallelism.
-    const MICROBATCH_BURST: usize = 8;
-    let (solo_ms, _) = run_microbatch(&system, &cfg, MICROBATCH_BURST, 1);
-    let (fused_ms, fused_jobs) = run_microbatch(&system, &cfg, MICROBATCH_BURST, MICROBATCH_BURST);
-    let microbatch_speedup = solo_ms / fused_ms;
-    println!(
-        "  microbatch {MICROBATCH_BURST}-burst fused  {fused_ms:9.1} ms   \
-         {microbatch_speedup:.2}x vs {solo_ms:.1} ms solo ({fused_jobs} jobs fused)"
-    );
-    let (unet_solo_ms, unet_fused_ms) = run_unet_burst(&cfg, MICROBATCH_BURST);
-    let unet_speedup = unet_solo_ms / unet_fused_ms;
-    println!(
-        "  unet {MICROBATCH_BURST}-burst fused        {unet_fused_ms:9.1} ms   \
-         {unet_speedup:.2}x vs {unet_solo_ms:.1} ms serial"
-    );
-
     // Session sweep: the stateful multi-turn workload, threadpool vs.
     // session-affine sharded routing.
     let n_sessions = sweep("CP_ENGINE_SESSIONS", "4")
@@ -1337,11 +1219,6 @@ fn main() {
          \"connection_scaling\":{{\"active\":{conn_active},\
          \"calls_per_conn\":{conn_calls},\
          \"thread_cap\":{thread_cap},\"rows\":[{conn_rows}]}},\
-         \"microbatch\":{{\"burst\":{MICROBATCH_BURST},\"workers\":1,\
-         \"solo_millis\":{solo_ms:.3},\"fused_millis\":{fused_ms:.3},\
-         \"speedup\":{microbatch_speedup:.3},\"fused_jobs\":{fused_jobs},\
-         \"unet_solo_millis\":{unet_solo_ms:.3},\"unet_fused_millis\":{unet_fused_ms:.3},\
-         \"unet_speedup\":{unet_speedup:.3}}},\
          \"hot_loops\":{{\"rects\":{HOT_RECTS},\"reps\":{HOT_REPS},\
          \"grid_rows\":{hot_rows},\"grid_cols\":{hot_cols},\
          \"union_area_millis\":{union_ms:.3},\

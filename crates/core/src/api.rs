@@ -356,13 +356,6 @@ pub struct Timing {
     /// Whether the payload came from an identical in-flight execution
     /// this request attached to instead of executing itself.
     pub coalesced: bool,
-    /// Whether the engine executed this request fused with other
-    /// compatible queued requests (cross-request microbatching). The
-    /// payload is byte-identical to a solo execution; only throughput
-    /// changes. Defaults to `false` when absent on the wire, so older
-    /// peers interoperate.
-    #[serde(default)]
-    pub batched: bool,
 }
 
 impl Timing {
@@ -375,7 +368,6 @@ impl Timing {
             exec_micros,
             cached: false,
             coalesced: false,
-            batched: false,
         }
     }
 
@@ -388,7 +380,6 @@ impl Timing {
             exec_micros,
             cached: false,
             coalesced: false,
-            batched: false,
         }
     }
 
@@ -401,7 +392,6 @@ impl Timing {
             exec_micros,
             cached: true,
             coalesced: false,
-            batched: false,
         }
     }
 
@@ -417,7 +407,6 @@ impl Timing {
             exec_micros,
             cached: false,
             coalesced: true,
-            batched: false,
         }
     }
 }
@@ -484,22 +473,6 @@ pub trait PatternService {
         requests.into_iter().map(|r| self.execute(r)).collect()
     }
 
-    /// Serves a batch of requests as **one fused execution** on the
-    /// calling thread, preserving order. This is the engine's
-    /// microbatch hook: a worker that drained several compatible queued
-    /// requests hands them here together, so implementations can
-    /// amortize shared work (one denoiser pass serves the whole batch).
-    ///
-    /// The contract is byte-identity: entry `i` of the result must
-    /// equal what [`PatternService::execute`] would return for request
-    /// `i` alone (timing metadata aside). The default serial map
-    /// satisfies it trivially; [`ChatPattern`] overrides it to run
-    /// compatible `Generate` requests through the diffusion sampler in
-    /// lockstep.
-    fn execute_batch(&self, requests: Vec<PatternRequest>) -> Vec<Result<PatternResponse, Error>> {
-        requests.into_iter().map(|r| self.execute(r)).collect()
-    }
-
     /// Session activity of this service, when it hosts stateful
     /// sessions ([`ChatPattern`] does; pure computational services
     /// keep the all-zero default). Wrappers — engines, recorders,
@@ -520,10 +493,6 @@ impl<S: PatternService + ?Sized> PatternService for std::sync::Arc<S> {
 
     fn execute_many(&self, requests: Vec<PatternRequest>) -> Vec<Result<PatternResponse, Error>> {
         (**self).execute_many(requests)
-    }
-
-    fn execute_batch(&self, requests: Vec<PatternRequest>) -> Vec<Result<PatternResponse, Error>> {
-        (**self).execute_batch(requests)
     }
 
     fn session_stats(&self) -> SessionStats {
@@ -629,63 +598,9 @@ impl PatternService for ChatPattern {
         })
     }
 
-    fn execute_batch(&self, requests: Vec<PatternRequest>) -> Vec<Result<PatternResponse, Error>> {
-        if let Some(responses) = fused_generate(self, &requests) {
-            return responses;
-        }
-        requests.into_iter().map(|r| self.execute(r)).collect()
-    }
-
     fn session_stats(&self) -> SessionStats {
         ChatPattern::session_stats(self)
     }
-}
-
-/// The fused fast path of [`ChatPattern`]'s
-/// [`PatternService::execute_batch`]: when the batch is two or more
-/// `Generate` requests with identical `(style, rows, cols, count)` (any
-/// seeds), one lockstep diffusion pass serves them all via
-/// [`ChatPattern::generate_batch`]. Returns `None` — fall back to the
-/// serial map — for any other batch shape, so error payloads and
-/// mixed-kind batches stay byte-identical to solo execution.
-fn fused_generate(
-    system: &ChatPattern,
-    requests: &[PatternRequest],
-) -> Option<Vec<Result<PatternResponse, Error>>> {
-    if requests.len() < 2 {
-        return None;
-    }
-    let mut params = Vec::with_capacity(requests.len());
-    for request in requests {
-        match request {
-            PatternRequest::Generate(p) => params.push(*p),
-            _ => return None,
-        }
-    }
-    let first = params[0];
-    if !params.iter().all(|p| {
-        (p.style, p.rows, p.cols, p.count) == (first.style, first.rows, first.cols, first.count)
-    }) {
-        return None;
-    }
-    let started = Instant::now();
-    let seeds: Vec<u64> = params.iter().map(|p| p.seed).collect();
-    let outcome = system.generate_batch(first.style, first.rows, first.cols, first.count, &seeds);
-    let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    Some(match outcome {
-        Ok(batches) => batches
-            .into_iter()
-            .map(|topologies| {
-                Ok(PatternResponse {
-                    payload: ResponsePayload::Generate(topologies),
-                    timing: Timing::direct(micros),
-                })
-            })
-            .collect(),
-        // Shape validation is shared by the whole batch, so the one
-        // error is exactly what each solo `execute` would have raised.
-        Err(error) => params.iter().map(|_| Err(error.clone())).collect(),
-    })
 }
 
 #[cfg(test)]

@@ -68,14 +68,10 @@ impl BackendKind {
     }
 }
 
-/// What a backend runs for every execution it schedules: a non-empty
-/// slice of tasks. Most executions carry exactly one task; a queued
-/// backend with microbatching enabled may hand over several
-/// batch-compatible tasks (equal [`ExecTask::batch_key`]) to run as one
-/// fused service call. The engine builds this once (service execution +
-/// broker completion + stats) and hands it to the backend at
-/// construction.
-pub type TaskFn = Arc<dyn Fn(&[Arc<ExecTask>]) + Send + Sync>;
+/// What a backend runs for every task it schedules. The engine builds
+/// this once (service execution + broker completion + stats) and hands
+/// it to the backend at construction.
+pub type TaskFn = Arc<dyn Fn(&Arc<ExecTask>) + Send + Sync>;
 
 /// An execution strategy: accepts tasks, runs them (somehow), and can
 /// shut down. Implementations are pure scheduling policy — the task
@@ -113,7 +109,7 @@ impl InlineBackend {
 
 impl ExecBackend for InlineBackend {
     fn dispatch(&self, task: Arc<ExecTask>, _block: bool) -> Result<(), Error> {
-        (self.run)(std::slice::from_ref(&task));
+        (self.run)(&task);
         Ok(())
     }
 
@@ -135,9 +131,6 @@ struct PoolQueue {
 
 struct PoolShared {
     depth: usize,
-    /// Upper bound on how many batch-compatible tasks one worker fuses
-    /// into a single execution (1 = microbatching off).
-    max_batch: usize,
     run: TaskFn,
     queue: Mutex<PoolQueue>,
     /// Signalled when a task is pushed or shutdown begins (workers wait).
@@ -160,12 +153,10 @@ impl ThreadPoolBackend {
         workers: usize,
         queue_depth: usize,
         weights: LaneWeights,
-        max_batch: usize,
         run: TaskFn,
     ) -> ThreadPoolBackend {
         let shared = Arc::new(PoolShared {
             depth: queue_depth,
-            max_batch: max_batch.max(1),
             run,
             queue: Mutex::new(PoolQueue {
                 tasks: FairQueue::new(queue_depth, weights),
@@ -189,30 +180,12 @@ impl ThreadPoolBackend {
 
 fn worker_loop(shared: &PoolShared) {
     loop {
-        let batch = {
+        let task = {
             let mut queue = shared.queue.lock().expect("queue lock");
             loop {
                 if let Some((task, _queued_for)) = queue.tasks.pop() {
-                    let mut batch = vec![task];
-                    // Opportunistic microbatch drain: after the
-                    // weighted-fair pop picked a leader, scoop up any
-                    // batch-compatible tasks already waiting (same
-                    // fingerprint — same kind/shape/class, any seed)
-                    // and run them as one fused execution. Admission,
-                    // QoS accounting and per-tenant FIFO order are
-                    // untouched; the drain only changes which worker
-                    // runs the riders.
-                    if shared.max_batch > 1 {
-                        if let Some(key) = batch[0].batch_key() {
-                            batch.extend(queue.tasks.drain_matching(shared.max_batch - 1, |t| {
-                                t.batch_key() == Some(key)
-                            }));
-                        }
-                    }
-                    for _ in 0..batch.len() {
-                        shared.space_ready.notify_one();
-                    }
-                    break batch;
+                    shared.space_ready.notify_one();
+                    break task;
                 }
                 if queue.shutdown {
                     return;
@@ -220,7 +193,7 @@ fn worker_loop(shared: &PoolShared) {
                 queue = shared.task_ready.wait(queue).expect("queue lock");
             }
         };
-        (shared.run)(&batch);
+        (shared.run)(&task);
     }
 }
 
@@ -292,7 +265,6 @@ impl ShardedBackend {
         workers: usize,
         queue_depth: usize,
         weights: LaneWeights,
-        max_batch: usize,
         run: &TaskFn,
     ) -> ShardedBackend {
         let base = workers / shards;
@@ -305,7 +277,6 @@ impl ShardedBackend {
                     shard_workers,
                     queue_depth,
                     weights,
-                    max_batch,
                     Arc::clone(run),
                 )
             })

@@ -182,43 +182,7 @@ pub struct ExecTask {
     /// (kept here so abandoned and drained tasks can roll the
     /// reservation back without access to the request).
     opens_session: bool,
-    /// Microbatch compatibility fingerprint: tasks with equal `Some`
-    /// values may execute as one fused `execute_batch` call. `None`
-    /// for request kinds that never fuse.
-    batch_key: Option<u64>,
     state: Mutex<TaskState>,
-}
-
-/// Hashes the batch-compatibility tuple of a request — everything that
-/// must match for two queued requests to share one fused execution,
-/// which is every parameter **except the seed** (each request keeps its
-/// own RNG stream inside the fused call). Only `Generate` and `Extend`
-/// participate; stateful, unkeyed-chat and inline-answered requests
-/// never fuse. A hash collision is harmless: the service's
-/// `execute_batch` re-checks real compatibility and falls back to the
-/// serial map.
-fn batch_fingerprint(request: &PatternRequest) -> Option<u64> {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    let mut hasher = DefaultHasher::new();
-    match request {
-        PatternRequest::Generate(p) => {
-            (0u8, p.style, p.rows, p.cols, p.count).hash(&mut hasher);
-        }
-        PatternRequest::Extend(p) => {
-            (
-                1u8,
-                p.seed_topology.shape(),
-                p.rows,
-                p.cols,
-                p.method,
-                p.style,
-            )
-                .hash(&mut hasher);
-        }
-        _ => return None,
-    }
-    Some(hasher.finish())
 }
 
 impl std::fmt::Debug for ExecTask {
@@ -243,14 +207,12 @@ impl ExecTask {
         leader: Arc<JobShared>,
     ) -> Arc<ExecTask> {
         let opens_session = request.admit_class().opens_session;
-        let batch_key = batch_fingerprint(&request);
         Arc::new(ExecTask {
             key,
             route,
             tenant: tenant.to_owned(),
             lane,
             opens_session,
-            batch_key,
             state: Mutex::new(TaskState {
                 phase: TaskPhase::Queued,
                 request: Some(request),
@@ -284,15 +246,6 @@ impl ExecTask {
     /// Whether this task's admission reserved an open-session slot.
     pub(crate) fn opens_session(&self) -> bool {
         self.opens_session
-    }
-
-    /// Microbatch compatibility fingerprint — a hash of every request
-    /// parameter except the seed: a queued backend may fuse tasks whose
-    /// fingerprints are equal and `Some` into one batched execution.
-    /// `None` — never fused.
-    #[must_use]
-    pub fn batch_key(&self) -> Option<u64> {
-        self.batch_key
     }
 
     /// Claims the task for execution: returns the request, or `None`

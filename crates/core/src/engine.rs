@@ -58,16 +58,6 @@ pub struct EngineConfig {
     /// Entries in the request-level result cache (0 disables caching;
     /// coalescing of in-flight requests stays active either way).
     pub cache_capacity: usize,
-    /// Upper bound on cross-request microbatching (≥ 1): after a
-    /// worker pops a job, it opportunistically drains up to
-    /// `max_microbatch - 1` additional *batch-compatible* queued jobs
-    /// (same kind/shape/class, any seed) and executes them as one
-    /// fused service call. `1` (the default) disables the drain.
-    /// Payloads are byte-identical either way — fusion changes
-    /// throughput, never results. Ignored by
-    /// [`BackendKind::Inline`], which executes on the submitting
-    /// thread and never holds a queue to drain.
-    pub max_microbatch: usize,
 }
 
 impl Default for EngineConfig {
@@ -77,7 +67,6 @@ impl Default for EngineConfig {
             workers: thread_count(),
             queue_depth: 256,
             cache_capacity: 128,
-            max_microbatch: 1,
         }
     }
 }
@@ -101,11 +90,6 @@ impl EngineConfig {
         }
         if self.queue_depth == 0 {
             return Err(Error::config("queue_depth must be at least 1 (got 0)"));
-        }
-        if self.max_microbatch == 0 {
-            return Err(Error::config(
-                "max_microbatch must be at least 1 (got 0; 1 disables microbatching)",
-            ));
         }
         if let BackendKind::Sharded { shards } = self.backend {
             if shards == 0 {
@@ -167,18 +151,6 @@ pub struct EngineStats {
     /// instead of starting their own (for keyed submissions,
     /// `cache_hits + cache_misses + coalesced` partitions them).
     pub coalesced: u64,
-    /// Jobs executed as part of a fused microbatch (an execution of
-    /// two or more batch-compatible jobs; each fused job counts once).
-    /// Absent on the wire from older peers — defaults to zero.
-    #[serde(default)]
-    pub batched: u64,
-    /// Histogram of backend execution batch sizes: entry `i` counts
-    /// executions that ran `i + 1` jobs fused together (entry 0 =
-    /// solo executions; the last entry also absorbs any larger
-    /// batches). Trailing zero buckets are trimmed. Absent on the
-    /// wire from older peers — defaults to empty.
-    #[serde(default)]
-    pub batch_sizes: Vec<u64>,
     /// Chat sessions currently open in the wrapped service (a gauge;
     /// zero for services without session support).
     pub sessions_open: u64,
@@ -264,13 +236,6 @@ impl EngineStats {
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.coalesced += other.coalesced;
-        self.batched += other.batched;
-        if self.batch_sizes.len() < other.batch_sizes.len() {
-            self.batch_sizes.resize(other.batch_sizes.len(), 0);
-        }
-        for (bucket, add) in self.batch_sizes.iter_mut().zip(&other.batch_sizes) {
-            *bucket += add;
-        }
         self.sessions_open += other.sessions_open;
         self.sessions_evicted += other.sessions_evicted;
         self.sessions_spilled += other.sessions_spilled;
@@ -330,10 +295,6 @@ impl ConnCounters {
     }
 }
 
-/// Buckets of the execution batch-size histogram; batches larger than
-/// this land in the last bucket.
-const BATCH_SIZE_BUCKETS: usize = 16;
-
 #[derive(Default)]
 pub(crate) struct AtomicStats {
     submitted: AtomicU64,
@@ -343,8 +304,6 @@ pub(crate) struct AtomicStats {
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     coalesced: AtomicU64,
-    batched: AtomicU64,
-    batch_sizes: [AtomicU64; BATCH_SIZE_BUCKETS],
 }
 
 impl AtomicStats {
@@ -354,14 +313,6 @@ impl AtomicStats {
         sessions: crate::session::SessionStats,
         tenants: Vec<TenantLaneStats>,
     ) -> EngineStats {
-        let mut batch_sizes: Vec<u64> = self
-            .batch_sizes
-            .iter()
-            .map(|bucket| bucket.load(Ordering::Relaxed))
-            .collect();
-        while batch_sizes.last() == Some(&0) {
-            batch_sizes.pop();
-        }
         EngineStats {
             submitted: self.submitted.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
@@ -370,8 +321,6 @@ impl AtomicStats {
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
-            batched: self.batched.load(Ordering::Relaxed),
-            batch_sizes,
             sessions_open: sessions.open,
             sessions_evicted: sessions.evicted,
             sessions_spilled: sessions.spilled,
@@ -387,20 +336,6 @@ impl AtomicStats {
 
     fn add(&self, counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one backend execution of `size` claimed jobs in the
-    /// batch-size histogram (and, for fused executions, the per-job
-    /// `batched` counter).
-    fn record_execution(&self, size: usize) {
-        if size == 0 {
-            return;
-        }
-        let bucket = size.min(BATCH_SIZE_BUCKETS) - 1;
-        self.batch_sizes[bucket].fetch_add(1, Ordering::Relaxed);
-        if size > 1 {
-            self.batched.fetch_add(size as u64, Ordering::Relaxed);
-        }
     }
 }
 
@@ -544,73 +479,28 @@ impl<S: PatternService> EngineCore<S> {
         self.gate.release(task.tenant());
     }
 
-    /// Executes the tasks a backend handed over in one go — usually a
-    /// single task, or several batch-compatible tasks when the worker's
-    /// microbatch drain fused them — and fans each result out to its
-    /// subscribers (the leader plus any coalesced waiters).
-    ///
-    /// A fused batch goes through [`PatternService::execute_batch`],
-    /// whose contract guarantees payloads byte-identical to executing
-    /// each request alone; a solo task stays on the plain
-    /// [`PatternService::execute`] path.
-    fn run_batch(&self, tasks: &[Arc<ExecTask>]) {
-        let mut live: Vec<&Arc<ExecTask>> = Vec::with_capacity(tasks.len());
-        let mut requests = Vec::with_capacity(tasks.len());
-        for task in tasks {
-            match task.claim() {
-                Some(request) => {
-                    live.push(task);
-                    requests.push(request);
-                }
-                None => {
-                    // Every subscriber detached while the task was
-                    // queued; the leader's QoS grants die with it.
-                    self.release_task_qos(task);
-                }
-            }
-        }
-        if live.is_empty() {
+    /// Executes the task a backend handed over and fans its result out
+    /// to its subscribers (the leader plus any coalesced waiters).
+    fn run_task(&self, task: &Arc<ExecTask>) {
+        let Some(request) = task.claim() else {
+            // Every subscriber detached while the task was queued; the
+            // leader's QoS grants die with it.
+            self.release_task_qos(task);
             return;
-        }
-        let closes: Vec<bool> = requests
-            .iter()
-            .map(|request| matches!(request, crate::PatternRequest::SessionClose(_)))
-            .collect();
-        let fused = live.len() > 1;
+        };
+        let closes_session = matches!(request, crate::PatternRequest::SessionClose(_));
         let started = Instant::now();
         // A panicking service must not poison the broker: without the
         // catch, `complete` would never run, the key would stay
         // registered, and every future identical submission would
         // coalesce onto the dead task and hang. Convert the panic into
         // an error result instead (and keep the worker thread alive).
-        let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if fused {
-                self.service.execute_batch(requests)
-            } else {
-                let request = requests.pop().expect("one live task has one request");
-                vec![self.service.execute(request)]
-            }
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.service.execute(request)
         }))
-        .unwrap_or_else(|panic| {
-            let message = panic_message(panic.as_ref());
-            live.iter()
-                .map(|_| Err(Error::internal(message.clone())))
-                .collect()
-        });
+        .unwrap_or_else(|panic| Err(Error::internal(panic_message(panic.as_ref()))));
         let exec_micros = elapsed_micros(started);
-        self.stats.record_execution(live.len());
-        let mut results = results.into_iter();
-        for (task, closes_session) in live.iter().zip(closes) {
-            // A service returning the wrong number of results is a
-            // contract violation; the affected tasks still must reach
-            // `complete` or their waiters would hang.
-            let result = results.next().unwrap_or_else(|| {
-                Err(Error::internal(
-                    "execute_batch returned fewer results than requests",
-                ))
-            });
-            self.finish_task(task, result, closes_session, exec_micros, fused);
-        }
+        self.finish_task(task, result, closes_session, exec_micros);
     }
 
     /// The completion tail of one executed task: cache insert, session
@@ -622,7 +512,6 @@ impl<S: PatternService> EngineCore<S> {
         result: Result<PatternResponse, Error>,
         closes_session: bool,
         exec_micros: u64,
-        batched: bool,
     ) {
         // The cache copy is deep-cloned here, outside the broker lock;
         // `complete` only moves the Arc under it.
@@ -659,12 +548,11 @@ impl<S: PatternService> EngineCore<S> {
             }
             let shared = match &result {
                 Ok(response) => {
-                    let mut timing = if coalesced {
+                    let timing = if coalesced {
                         Timing::coalesced(queue_micros, exec_share)
                     } else {
                         Timing::queued(queue_micros, exec_share)
                     };
-                    timing.batched = batched;
                     Ok(PatternResponse {
                         payload: response.payload.clone(),
                         timing,
@@ -768,7 +656,7 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
         });
         let run: TaskFn = {
             let core = Arc::clone(&core);
-            Arc::new(move |tasks| core.run_batch(tasks))
+            Arc::new(move |task| core.run_task(task))
         };
         let backend: Box<dyn ExecBackend> = match config.backend {
             BackendKind::Inline => Box::new(InlineBackend::new(run)),
@@ -777,7 +665,6 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
                 config.workers,
                 config.queue_depth,
                 weights,
-                config.max_microbatch,
                 run,
             )),
             BackendKind::Sharded { shards } => Box::new(ShardedBackend::new(
@@ -785,7 +672,6 @@ impl<S: PatternService + Send + Sync + 'static> PatternEngine<S> {
                 config.workers,
                 config.queue_depth,
                 weights,
-                config.max_microbatch,
                 &run,
             )),
         };
@@ -1113,7 +999,6 @@ mod tests {
                 workers,
                 queue_depth,
                 cache_capacity: 0,
-                max_microbatch: 1,
             },
         )
         .expect("valid config")
@@ -1131,7 +1016,6 @@ mod tests {
                 workers: 0,
                 queue_depth: 1,
                 cache_capacity: 0,
-                max_microbatch: 1,
             },
         )
         .expect_err("zero workers rejected");
@@ -1141,7 +1025,6 @@ mod tests {
             workers: 2,
             queue_depth: 1,
             cache_capacity: 0,
-            max_microbatch: 1,
         }
         .validate()
         .expect_err("zero shards rejected");
@@ -1151,7 +1034,6 @@ mod tests {
             workers: 2,
             queue_depth: 1,
             cache_capacity: 0,
-            max_microbatch: 1,
         }
         .validate()
         .expect_err("a shard without a worker could never drain");
@@ -1324,7 +1206,6 @@ mod tests {
                 workers: 1,
                 queue_depth: 1,
                 cache_capacity: 4,
-                max_microbatch: 1,
             },
         )
         .expect("valid config");
@@ -1355,7 +1236,6 @@ mod tests {
                 workers: 3,
                 queue_depth: 8,
                 cache_capacity: 0,
-                max_microbatch: 1,
             },
         )
         .expect("valid config");
@@ -1387,7 +1267,6 @@ mod tests {
                 workers: 1,
                 queue_depth: 8,
                 cache_capacity: 4,
-                max_microbatch: 1,
             },
         )
         .expect("valid config");
@@ -1461,7 +1340,6 @@ mod tests {
                 workers: 1,
                 queue_depth: 8,
                 cache_capacity: 0,
-                max_microbatch: 1,
             },
             qos,
         )
@@ -1616,65 +1494,6 @@ mod tests {
             .expect("non-turn work unaffected")
             .wait()
             .expect("completes");
-    }
-
-    #[test]
-    fn compatible_queued_jobs_fuse_into_one_microbatch() {
-        // One worker busy with an 8×8 job; three batch-compatible 4×4
-        // requests (same shape, distinct seeds) queue behind it. With
-        // max_microbatch = 4 the worker must drain them as one fused
-        // execution and flag every rider's Timing. The blocker's shape
-        // differs so it can never fuse with the riders itself.
-        let engine = PatternEngine::with_config(
-            SlowService {
-                delay: Duration::from_millis(30),
-            },
-            EngineConfig {
-                backend: BackendKind::ThreadPool,
-                workers: 1,
-                queue_depth: 8,
-                cache_capacity: 0,
-                max_microbatch: 4,
-            },
-        )
-        .expect("valid config");
-        let blocker = engine.submit_blocking(PatternRequest::Generate(GenerateParams {
-            style: Style::Layer10001,
-            rows: 8,
-            cols: 8,
-            count: 1,
-            seed: 1,
-        }));
-        let handles: Vec<JobHandle> = (2..5)
-            .map(|s| engine.submit_blocking(generate(s)))
-            .collect();
-        blocker.wait().expect("blocker completes");
-        for handle in handles {
-            let response = handle.wait().expect("fused job completes");
-            assert!(response.timing.batched, "rider flagged as batched");
-        }
-        let stats = engine.stats();
-        assert_eq!(stats.completed, 4);
-        assert_eq!(stats.batched, 3, "the three queued jobs fused");
-        // Two executions: the solo blocker and the fused batch of 3.
-        assert_eq!(stats.batch_sizes, vec![1, 0, 1]);
-    }
-
-    #[test]
-    fn microbatch_disabled_keeps_executions_solo() {
-        let engine = slow_engine(1, 8);
-        let blocker = engine.submit_blocking(generate(1));
-        let handles: Vec<JobHandle> = (2..5)
-            .map(|s| engine.submit_blocking(generate(s)))
-            .collect();
-        blocker.wait().expect("completes");
-        for handle in handles {
-            let response = handle.wait().expect("completes");
-            assert!(!response.timing.batched, "max_microbatch=1 never fuses");
-        }
-        let stats = engine.stats();
-        assert_eq!(stats.batched, 0);
-        assert_eq!(stats.batch_sizes, vec![4], "four solo executions");
     }
 
     #[test]

@@ -1016,51 +1016,6 @@ impl ChatPattern {
             .collect())
     }
 
-    /// Fused conditional generation: serves `seeds.len()` generate
-    /// requests for the same `(style, rows, cols, count)` with one
-    /// lockstep diffusion pass per sample round, instead of
-    /// `seeds.len()` independent passes. Each request still draws from
-    /// its own [`ChaCha8Rng`] stream in exactly the order
-    /// [`ChatPattern::generate`] consumes it, so entry `i` of the
-    /// result is **byte-identical** to
-    /// `self.generate(style, rows, cols, count, seeds[i])` — fusion
-    /// changes throughput, never payloads. This is the execution path
-    /// behind the engine's cross-request microbatching.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidRequest`] when `rows` or `cols` is zero
-    /// (the same check every solo request would fail).
-    pub fn generate_batch(
-        &self,
-        style: Style,
-        rows: usize,
-        cols: usize,
-        count: usize,
-        seeds: &[u64],
-    ) -> Result<Vec<Vec<Topology>>, Error> {
-        if rows == 0 || cols == 0 {
-            return Err(Error::invalid_request(format!(
-                "topology size {rows}x{cols} must be non-empty"
-            )));
-        }
-        let mut rngs: Vec<ChaCha8Rng> = seeds
-            .iter()
-            .map(|&seed| ChaCha8Rng::seed_from_u64(seed))
-            .collect();
-        let mut outputs: Vec<Vec<Topology>> =
-            seeds.iter().map(|_| Vec::with_capacity(count)).collect();
-        for _ in 0..count {
-            let round = self
-                .model
-                .sample_batch(rows, cols, Some(style.id()), &mut rngs);
-            for (output, topology) in outputs.iter_mut().zip(round) {
-                output.push(topology);
-            }
-        }
-        Ok(outputs)
-    }
-
     /// Batch generation: the seed-stream fan-out path behind
     /// [`PatternService::execute_many`]. Every request draws from its
     /// own [`ChaCha8Rng`] stream seeded by `GenerateParams::seed`, so
@@ -1080,26 +1035,6 @@ impl ChatPattern {
                     "topology size {}x{} must be non-empty",
                     p.rows, p.cols
                 )));
-            }
-        }
-        // A homogeneous batch (same style/shape/count, any seeds) takes
-        // the fused lockstep path — byte-identical per request, one
-        // denoiser pass per sample round instead of one per request.
-        if let [first, rest @ ..] = requests {
-            if !rest.is_empty()
-                && rest.iter().all(|p| {
-                    (p.style, p.rows, p.cols, p.count)
-                        == (first.style, first.rows, first.cols, first.count)
-                })
-            {
-                let seeds: Vec<u64> = requests.iter().map(|p| p.seed).collect();
-                return self.generate_batch(
-                    first.style,
-                    first.rows,
-                    first.cols,
-                    first.count,
-                    &seeds,
-                );
             }
         }
         requests

@@ -121,21 +121,43 @@ impl ResponseEnvelope {
     }
 }
 
+/// Longest decode-error message [`decode_request_line`] returns, in
+/// bytes before [`TRUNCATION_MARKER`]. Parser messages quote the
+/// offending input, so without a cap an error reply would echo an
+/// arbitrarily large request back to the client.
+const MAX_DECODE_MESSAGE_BYTES: usize = 256;
+
+/// Appended to a decode-error message cut at
+/// [`MAX_DECODE_MESSAGE_BYTES`].
+const TRUNCATION_MARKER: &str = " …[truncated]";
+
+/// A decode failure as [`Error::InvalidRequest`], its message cut to
+/// [`MAX_DECODE_MESSAGE_BYTES`] on a char boundary.
+fn decode_error(mut message: String) -> Error {
+    if message.len() > MAX_DECODE_MESSAGE_BYTES {
+        let mut cut = MAX_DECODE_MESSAGE_BYTES;
+        while !message.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        message.truncate(cut);
+        message.push_str(TRUNCATION_MARKER);
+    }
+    Error::invalid_request(message)
+}
+
 /// Parses one wire line into a [`RequestEnvelope`].
 ///
 /// # Errors
 ///
 /// On failure returns the best-effort `id` recovered from the line
 /// (so the caller can still address its error reply) plus the decode
-/// problem as an [`Error::InvalidRequest`]. Malformed JSON and absent
-/// ids yield `Value::Null` as the id.
+/// problem as an [`Error::InvalidRequest`], whose message is cut to
+/// its first 256 bytes. Malformed JSON (including nesting deeper than
+/// 128 arrays and objects) and absent ids yield `Value::Null` as the
+/// id.
 pub fn decode_request_line(line: &str) -> Result<RequestEnvelope, (Value, Error)> {
-    let value: Value = serde_json::from_str(line).map_err(|e| {
-        (
-            Value::Null,
-            Error::invalid_request(format!("bad JSON: {e}")),
-        )
-    })?;
+    let value: Value = serde_json::from_str(line)
+        .map_err(|e| (Value::Null, decode_error(format!("bad JSON: {e}"))))?;
     let id = value.get("id").cloned().unwrap_or(Value::Null);
     if id.is_null() {
         return Err((
@@ -145,7 +167,7 @@ pub fn decode_request_line(line: &str) -> Result<RequestEnvelope, (Value, Error)
     }
     match serde_json::from_value::<RequestEnvelope>(&value) {
         Ok(envelope) => Ok(envelope),
-        Err(e) => Err((id, Error::invalid_request(format!("bad request: {e}")))),
+        Err(e) => Err((id, decode_error(format!("bad request: {e}")))),
     }
 }
 
@@ -276,5 +298,23 @@ mod tests {
         let (id, err) = decode_request_line(r#"{"request": "x"}"#).unwrap_err();
         assert!(id.is_null());
         assert!(err.to_string().contains("id"));
+    }
+
+    #[test]
+    fn decode_errors_are_cut_to_a_bounded_prefix() {
+        // The shim quotes the offending value; a 40 KB body must not
+        // come back whole. Multi-byte chars straddle the cut point.
+        let body = "é".repeat(20_000);
+        let line = format!(r#"{{"id":1,"request":{{"Generate":"{body}"}}}}"#);
+        let (id, err) = decode_request_line(&line).unwrap_err();
+        assert_eq!(id, 1u64);
+        let Error::InvalidRequest { message } = &err else {
+            panic!("expected InvalidRequest, got {err:?}");
+        };
+        assert!(message.ends_with(TRUNCATION_MARKER), "{message}");
+        assert!(message.len() <= MAX_DECODE_MESSAGE_BYTES + TRUNCATION_MARKER.len());
+        // Short messages pass through untouched.
+        let (_, err) = decode_request_line("{oops").unwrap_err();
+        assert!(!err.to_string().contains(TRUNCATION_MARKER));
     }
 }

@@ -6,12 +6,15 @@
 //! * [`NoiseSchedule`] — the linear β schedule and 2×2 transition
 //!   matrices `Q_k` of Eqs. (1)–(4), with closed-form cumulative flip
 //!   probabilities;
-//! * [`Denoiser`] — the learned `p_θ(x₀ | x_k, c)` estimator. Two
-//!   back-ends exist: the fast statistical [`MrfDenoiser`] (fitted 3×3
-//!   neighbourhood tables; the workhorse of the experiments) and a real
-//!   trainable U-Net in `cp-nn` (see `cp-diffusion`'s `unet` module);
+//! * [`Denoiser`] — the learned `p_θ(x₀ | x_k, c)` estimator, one
+//!   noisy topology per [`Denoiser::predict_x0`] call. Two back-ends
+//!   exist: the fast statistical [`MrfDenoiser`] (fitted 3×3
+//!   neighbourhood tables; the workhorse of the experiments and the
+//!   one the server runs) and [`UNetDenoiser`], a real trainable U-Net
+//!   in `cp-nn` kept as the serial, unit-tested reference;
 //! * [`DiffusionModel`] — the conditional reverse process of Eqs. (9)
-//!   and (11), ancestral sampling from uniform noise;
+//!   and (11), ancestral sampling from uniform noise, one chain per
+//!   sample with its own RNG stream;
 //! * [`modification`] — RePaint-style masked modification (Eq. 12):
 //!   known pixels are forward-noised from the given topology, unknown
 //!   pixels come from the model, every step;

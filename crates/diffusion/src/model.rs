@@ -77,27 +77,6 @@ impl<D: Denoiser> DiffusionModel<D> {
         post
     }
 
-    /// The categorical draw of one reverse step, given the denoiser
-    /// prediction and the step's posterior table — the body shared by
-    /// `reverse_step` and `sample_batch`.
-    fn reverse_from_prediction(
-        &self,
-        x_k: &Topology,
-        p0: &[f32],
-        post: &[[f64; 2]; 2],
-        rng: &mut impl Rng,
-    ) -> Topology {
-        debug_assert_eq!(p0.len(), x_k.len(), "denoiser output length mismatch");
-        let cols = x_k.cols();
-        Topology::from_fn(x_k.rows(), cols, |r, c| {
-            let xk = usize::from(x_k.get(r, c));
-            let p_x0_one = f64::from(p0[r * cols + c]).clamp(0.0, 1.0);
-            // Marginalize the posterior over x̃0 ∈ {0, 1}.
-            let p_one = p_x0_one * post[xk][1] + (1.0 - p_x0_one) * post[xk][0];
-            rng.gen::<f64>() < p_one
-        })
-    }
-
     /// One reverse step: samples `x_{k-1}` given `x_k` (Eq. 9):
     /// `p_θ(x_{k-1}|x_k, c) = Σ_{x̃0} q(x_{k-1}|x_k, x̃0) · p_θ(x̃0|x_k, c)`.
     #[must_use]
@@ -111,7 +90,16 @@ impl<D: Denoiser> DiffusionModel<D> {
         let p0 = self
             .denoiser
             .predict_x0(x_k, k, self.schedule.len(), condition);
-        self.reverse_from_prediction(x_k, &p0, &self.posterior_table(k), rng)
+        debug_assert_eq!(p0.len(), x_k.len(), "denoiser output length mismatch");
+        let post = self.posterior_table(k);
+        let cols = x_k.cols();
+        Topology::from_fn(x_k.rows(), cols, |r, c| {
+            let xk = usize::from(x_k.get(r, c));
+            let p_x0_one = f64::from(p0[r * cols + c]).clamp(0.0, 1.0);
+            // Marginalize the posterior over x̃0 ∈ {0, 1}.
+            let p_one = p_x0_one * post[xk][1] + (1.0 - p_x0_one) * post[xk][0];
+            rng.gen::<f64>() < p_one
+        })
     }
 
     /// Full ancestral sampling (Eq. 11): start from the uniform stationary
@@ -129,44 +117,6 @@ impl<D: Denoiser> DiffusionModel<D> {
             x = self.reverse_step(&x, k, condition, rng);
         }
         x
-    }
-
-    /// Fused ancestral sampling: runs `rngs.len()` reverse processes in
-    /// lockstep through one [`Denoiser::predict_x0_batch`] call per
-    /// step, each sample drawing its noise from its own RNG stream.
-    ///
-    /// Per sample this consumes RNG draws in exactly the order
-    /// [`DiffusionModel::sample`] does (initialization first, then one
-    /// draw per cell per step), so output `i` is **byte-identical** to
-    /// `self.sample(rows, cols, condition, &mut rngs[i])` — batching
-    /// changes throughput, never results.
-    #[must_use]
-    pub fn sample_batch<R: Rng>(
-        &self,
-        rows: usize,
-        cols: usize,
-        condition: Option<u32>,
-        rngs: &mut [R],
-    ) -> Vec<Topology> {
-        let mut xs: Vec<Topology> = rngs
-            .iter_mut()
-            .map(|rng| Topology::from_fn(rows, cols, |_, _| rng.gen::<bool>()))
-            .collect();
-        for k in (1..=self.schedule.len()).rev() {
-            let refs: Vec<&Topology> = xs.iter().collect();
-            let p0s = self
-                .denoiser
-                .predict_x0_batch(&refs, k, self.schedule.len(), condition);
-            debug_assert_eq!(p0s.len(), xs.len(), "denoiser batch length mismatch");
-            let post = self.posterior_table(k);
-            xs = xs
-                .iter()
-                .zip(&p0s)
-                .zip(rngs.iter_mut())
-                .map(|((x, p0), rng)| self.reverse_from_prediction(x, p0, &post, rng))
-                .collect();
-        }
-        xs
     }
 }
 
@@ -248,33 +198,6 @@ mod tests {
         let a = model.sample(8, 8, None, &mut ChaCha8Rng::seed_from_u64(3));
         let b = model.sample(8, 8, None, &mut ChaCha8Rng::seed_from_u64(3));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sample_batch_is_byte_identical_to_serial_for_every_batch_size() {
-        let model = DiffusionModel::new(
-            NoiseSchedule::scaled_default(6),
-            ConstantDenoiser {
-                probability: 0.4,
-                size: 8,
-            },
-            8,
-        );
-        for batch in 1..=8usize {
-            let mut rngs: Vec<ChaCha8Rng> = (0..batch)
-                .map(|i| ChaCha8Rng::seed_from_u64(100 + i as u64))
-                .collect();
-            let fused = model.sample_batch(8, 8, None, &mut rngs);
-            assert_eq!(fused.len(), batch);
-            for (i, fused_topology) in fused.iter().enumerate() {
-                let mut rng = ChaCha8Rng::seed_from_u64(100 + i as u64);
-                let serial = model.sample(8, 8, None, &mut rng);
-                assert_eq!(
-                    fused_topology, &serial,
-                    "batch size {batch}, sample {i} diverged from serial"
-                );
-            }
-        }
     }
 
     #[test]

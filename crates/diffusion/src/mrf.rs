@@ -390,11 +390,9 @@ fn context_of_beliefs(beliefs: &[f64], rows: usize, cols: usize, r: usize, c: us
 /// Per-(step, condition) constants of one [`MrfDenoiser`] prediction.
 ///
 /// The noise schedule and the channel likelihoods depend only on
-/// `(k, total_steps)` and the observed bit — never on the cell — so a
-/// fused batch computes them once and every sample reads the same
-/// values. Single-sample prediction goes through the same struct, which
-/// is what keeps the fused path byte-identical to the serial one: both
-/// evaluate exactly the same f64 expressions in the same order.
+/// `(k, total_steps)` and the observed bit — never on the cell — so
+/// they are computed once per prediction and every cell reads the same
+/// values.
 struct GridContext<'a> {
     /// The fitted `P(x₀=1 | ctx)` table for the condition.
     table: &'a [f64; CONTEXTS],
@@ -442,8 +440,7 @@ impl MrfDenoiser {
         }
     }
 
-    /// Prediction at the table's own grid resolution — the body
-    /// shared by the serial and fused paths.
+    /// Prediction at the table's own grid resolution.
     fn predict_grid_with(&self, x_k: &Topology, gc: &GridContext<'_>) -> Vec<f32> {
         let (rows, cols) = x_k.shape();
         // Initial beliefs: channel posterior under a flat prior.
@@ -469,83 +466,7 @@ impl MrfDenoiser {
         self.finish_grid(beliefs, rows, cols, gc)
     }
 
-    /// Fused mean-field at grid resolution: every sample's sweep runs
-    /// in lockstep, cell by cell. The eight neighbour offsets and
-    /// context bit positions of a cell depend only on `(r, c)`, so the
-    /// bounds checks and index arithmetic — the bulk of the per-cell
-    /// overhead in [`context_of_beliefs`] — are computed once and
-    /// reused by every sample. Per sample the cells update in the same
-    /// scan order with the same f64 expressions as
-    /// [`MrfDenoiser::predict_grid_with`], so outputs are
-    /// byte-identical to N serial predictions.
-    fn predict_grid_batch(&self, x_ks: &[&Topology], gc: &GridContext<'_>) -> Vec<Vec<f32>> {
-        if let [only] = x_ks {
-            return vec![self.predict_grid_with(only, gc)];
-        }
-        let (rows, cols) = x_ks[0].shape();
-        debug_assert!(
-            x_ks.iter().all(|x| x.shape() == (rows, cols)),
-            "fused batch must be shape-homogeneous"
-        );
-        let mut beliefs: Vec<Vec<f64>> = x_ks
-            .iter()
-            .map(|x_k| {
-                x_k.as_bytes()
-                    .iter()
-                    .map(|&b| gc.init[usize::from(b != 0)])
-                    .collect()
-            })
-            .collect();
-        for _ in 0..self.sweeps {
-            for r in 0..rows {
-                for c in 0..cols {
-                    let i = r * cols + c;
-                    // In-bounds neighbours as (context bit, flat index),
-                    // in the serial path's scan order; out-of-bounds
-                    // bits stay zero exactly as in `context_of_beliefs`.
-                    let mut neighbours = [(0usize, 0usize); 8];
-                    let mut in_bounds = 0usize;
-                    let mut bit = 0usize;
-                    for dr in -1i32..=1 {
-                        for dc in -1i32..=1 {
-                            if dr == 0 && dc == 0 {
-                                continue;
-                            }
-                            let rr = r as i32 + dr;
-                            let cc = c as i32 + dc;
-                            if rr >= 0 && cc >= 0 && (rr as usize) < rows && (cc as usize) < cols {
-                                neighbours[in_bounds] = (bit, rr as usize * cols + cc as usize);
-                                in_bounds += 1;
-                            }
-                            bit += 1;
-                        }
-                    }
-                    let neighbours = &neighbours[..in_bounds];
-                    for (x_k, sample) in x_ks.iter().zip(beliefs.iter_mut()) {
-                        let mut ctx = 0usize;
-                        for &(bit, j) in neighbours {
-                            if sample[j] > 0.5 {
-                                ctx |= 1 << bit;
-                            }
-                        }
-                        let prior = gc.table[ctx].clamp(1e-6, 1.0 - 1e-6);
-                        let bit = usize::from(x_k.as_bytes()[i] != 0);
-                        let numerator = prior * gc.like[bit][1];
-                        let denominator = numerator + (1.0 - prior) * gc.like[bit][0];
-                        sample[i] = numerator / denominator;
-                    }
-                }
-            }
-        }
-        beliefs
-            .into_iter()
-            .map(|sample| self.finish_grid(sample, rows, cols, gc))
-            .collect()
-    }
-
-    /// Calibration + regularization tail shared by the serial and
-    /// fused grid predictions — one implementation, so the two paths
-    /// cannot drift apart.
+    /// Calibration + regularization tail of a grid prediction.
     fn finish_grid(
         &self,
         mut beliefs: Vec<f64>,
@@ -605,51 +526,6 @@ impl MrfDenoiser {
             })
             .collect()
     }
-
-    /// Fused prediction (full- or coarse-resolution) under precomputed
-    /// step constants: the batch analogue of
-    /// [`MrfDenoiser::predict_one_with`]. Downsampling and the
-    /// replication back up stay per-sample (they depend on each
-    /// sample's input); the mean-field sweeps run through the
-    /// lockstep [`MrfDenoiser::predict_grid_batch`].
-    fn predict_many_with(&self, x_ks: &[&Topology], gc: &GridContext<'_>) -> Vec<Vec<f32>> {
-        if x_ks.is_empty() {
-            return Vec::new();
-        }
-        // Lockstep sweeps need one shape; a mixed-shape batch (legal
-        // for the trait, never produced by the engine) falls back to
-        // per-sample prediction under the shared step constants.
-        if x_ks.iter().any(|x| x.shape() != x_ks[0].shape()) {
-            return x_ks
-                .iter()
-                .map(|x_k| self.predict_one_with(x_k, gc))
-                .collect();
-        }
-        if self.coarse <= 1 {
-            return self.predict_grid_batch(x_ks, gc);
-        }
-        let downs: Vec<Topology> = x_ks
-            .iter()
-            .map(|x_k| downsample_majority(x_k, self.coarse))
-            .collect();
-        let down_refs: Vec<&Topology> = downs.iter().collect();
-        let coarse_ps = self.predict_grid_batch(&down_refs, gc);
-        x_ks.iter()
-            .zip(&downs)
-            .zip(coarse_ps)
-            .map(|((x_k, down), coarse_p)| {
-                let (rows, cols) = x_k.shape();
-                let ccols = down.cols();
-                (0..rows * cols)
-                    .map(|i| {
-                        let (r, c) = (i / cols, i % cols);
-                        coarse_p[(r / self.coarse).min(down.rows() - 1) * ccols
-                            + (c / self.coarse).min(ccols - 1)]
-                    })
-                    .collect()
-            })
-            .collect()
-    }
 }
 
 impl Denoiser for MrfDenoiser {
@@ -661,24 +537,6 @@ impl Denoiser for MrfDenoiser {
         condition: Option<u32>,
     ) -> Vec<f32> {
         self.predict_one_with(x_k, &self.grid_context(k, total_steps, condition))
-    }
-
-    /// Fused batch prediction: the schedule, channel likelihoods,
-    /// calibration target and blend weight are computed once and shared
-    /// by every sample, and the mean-field sweeps run in lockstep so
-    /// each cell's neighbour bookkeeping is paid once per batch rather
-    /// than once per sample. Each sample evaluates the same per-grid
-    /// arithmetic as `predict_x0` in the same order, so the outputs
-    /// are byte-identical to N serial calls.
-    fn predict_x0_batch(
-        &self,
-        x_ks: &[&Topology],
-        k: usize,
-        total_steps: usize,
-        condition: Option<u32>,
-    ) -> Vec<Vec<f32>> {
-        let gc = self.grid_context(k, total_steps, condition);
-        self.predict_many_with(x_ks, &gc)
     }
 
     fn native_size(&self) -> usize {
@@ -808,43 +666,5 @@ mod tests {
     #[should_panic(expected = "at least one dataset")]
     fn empty_fit_panics() {
         let _ = MrfDenoiser::fit(&[], 1.0);
-    }
-
-    #[test]
-    fn fused_batch_prediction_matches_serial_exactly() {
-        let data = striped_dataset(8);
-        let mrf = MrfDenoiser::fit(&[(0, &data)], 1.0);
-        let model = DiffusionModel::new(NoiseSchedule::scaled_default(6), mrf, 16);
-        let mut rng = ChaCha8Rng::seed_from_u64(21);
-        let noisy: Vec<Topology> = (0..4)
-            .map(|_| model.forward_noised(&data[0], 3, &mut rng))
-            .collect();
-        let refs: Vec<&Topology> = noisy.iter().collect();
-        let fused = model.denoiser().predict_x0_batch(&refs, 3, 6, Some(0));
-        for (x_k, fused_p) in noisy.iter().zip(&fused) {
-            let serial = model.denoiser().predict_x0(x_k, 3, 6, Some(0));
-            assert_eq!(fused_p, &serial, "fused prediction diverged");
-        }
-    }
-
-    #[test]
-    fn mrf_sample_batch_matches_serial_for_every_batch_size() {
-        let data = striped_dataset(8);
-        let mrf = MrfDenoiser::fit(&[(0, &data)], 1.0);
-        let model = DiffusionModel::new(NoiseSchedule::scaled_default(6), mrf, 16);
-        for batch in 1..=8usize {
-            let mut rngs: Vec<ChaCha8Rng> = (0..batch)
-                .map(|i| ChaCha8Rng::seed_from_u64(40 + i as u64))
-                .collect();
-            let fused = model.sample_batch(16, 16, Some(0), &mut rngs);
-            for (i, fused_topology) in fused.iter().enumerate() {
-                let mut rng = ChaCha8Rng::seed_from_u64(40 + i as u64);
-                let serial = model.sample(16, 16, Some(0), &mut rng);
-                assert_eq!(
-                    fused_topology, &serial,
-                    "batch size {batch}, sample {i} diverged from serial"
-                );
-            }
-        }
     }
 }

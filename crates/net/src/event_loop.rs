@@ -227,13 +227,19 @@ impl<H: ConnectionHandler> LoopState<H> {
     fn run(&mut self) {
         let mut events: Vec<PollEvent> = Vec::new();
         loop {
-            if self.poller.wait(&mut events, -1).is_err() {
-                // Pathological poller failure: back off instead of
-                // spinning; stop flag is still honoured below.
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            }
+            // Checked before the wait, not between the wait and the
+            // wake-pipe drain below: there, a shutdown landing just
+            // after the check would have its wake byte swallowed by
+            // the drain, and the next wait would block forever. Here,
+            // its byte either ends the wait or is drained in the same
+            // pass, and the next check sees the flag.
             if self.shared.stop.load(Ordering::Relaxed) {
                 break;
+            }
+            if self.poller.wait(&mut events, -1).is_err() {
+                // Pathological poller failure: back off instead of
+                // spinning; the stop flag is still honoured above.
+                std::thread::sleep(std::time::Duration::from_millis(10));
             }
             let mut accept_ready = false;
             let mut wake_ready = false;
@@ -269,9 +275,8 @@ impl<H: ConnectionHandler> LoopState<H> {
                 self.resume_accepts();
             }
         }
-        // Teardown: the stop flag is checked before queued events are
-        // processed, so replies completion threads enqueued just
-        // before shutdown may still sit unflushed. Give every
+        // Teardown: replies completion threads enqueued after the last
+        // pass drained the dirty list may still sit unflushed. Give every
         // non-killed queue one final write pass — bounded: each stops
         // at WouldBlock rather than waiting for a slow reader — then
         // silence the queues so in-flight completion threads drop

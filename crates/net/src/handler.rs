@@ -60,6 +60,16 @@ impl<S: PatternService + Send + Sync + 'static> ConnectionHandler for EngineHand
         match decode_request_line(line) {
             Ok(envelope) => {
                 let id = envelope.id;
+                // Counted before submission, so a `drain` that starts
+                // once the engine has accepted the request waits for
+                // its reply.
+                *self.in_flight.0.lock().expect("in-flight lock") += 1;
+                let in_flight = Arc::clone(&self.in_flight);
+                let answered = move || {
+                    let (count, zero) = &*in_flight;
+                    *count.lock().expect("in-flight lock") -= 1;
+                    zero.notify_all();
+                };
                 let handle = match self
                     .engine
                     .submit_as(envelope.tenant.as_deref(), envelope.request)
@@ -70,21 +80,18 @@ impl<S: PatternService + Send + Sync + 'static> ConnectionHandler for EngineHand
                         // the retry-after hint rather than blocking the
                         // connection's reader.
                         sink.send_line(&ResponseEnvelope::error(id, &error).to_line());
+                        answered();
                         return;
                     }
                 };
                 let sink = Arc::clone(sink);
-                let in_flight = Arc::clone(&self.in_flight);
-                *in_flight.0.lock().expect("in-flight lock") += 1;
                 std::thread::spawn(move || {
                     let envelope = match handle.wait() {
                         Ok(response) => ResponseEnvelope::ok(id, response),
                         Err(error) => ResponseEnvelope::error(id, &error),
                     };
                     sink.send_line(&envelope.to_line());
-                    let (count, zero) = &*in_flight;
-                    *count.lock().expect("in-flight lock") -= 1;
-                    zero.notify_all();
+                    answered();
                 });
             }
             Err((id, error)) => {

@@ -9,7 +9,9 @@
 //!
 //! Contents:
 //!
-//! * [`Tensor`] — CHW `f32` feature maps (batch size 1 by design);
+//! * [`Tensor`] — CHW `f32` feature maps (batch size 1 by design: the
+//!   sampler runs one chain per request, so every forward pass sees
+//!   one sample);
 //! * [`Param`] — a learnable buffer with gradient and Adam state;
 //! * [`Conv2d`] (3×3, pad 1), [`Linear`], SiLU, 2× average-pool /
 //!   nearest-upsample, channel concat — each with forward + backward;
@@ -37,10 +39,7 @@ pub mod tensor;
 pub mod unet;
 
 pub use adam::AdamState;
-pub use ops::{
-    avg_pool2, avg_pool2_batch, concat_channels, concat_channels_batch, silu, silu_batch,
-    upsample2, upsample2_batch, Conv2d, Linear,
-};
+pub use ops::{avg_pool2, concat_channels, silu, upsample2, Conv2d, Linear};
 pub use param::Param;
-pub use tensor::{BatchTensor, Tensor};
+pub use tensor::Tensor;
 pub use unet::UNet;

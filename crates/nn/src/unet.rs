@@ -13,11 +13,10 @@
 //! embedding is added into the embedding of the time step").
 
 use crate::ops::{
-    avg_pool2, avg_pool2_backward, avg_pool2_batch, concat_channels, concat_channels_backward,
-    concat_channels_batch, silu, silu_backward, silu_batch, silu_vec, silu_vec_backward, upsample2,
-    upsample2_backward, upsample2_batch, Conv2d, Linear,
+    avg_pool2, avg_pool2_backward, concat_channels, concat_channels_backward, silu, silu_backward,
+    silu_vec, silu_vec_backward, upsample2, upsample2_backward, Conv2d, Linear,
 };
-use crate::{BatchTensor, Param, Tensor};
+use crate::{Param, Tensor};
 use rand::Rng;
 
 const EMB_DIM: usize = 16;
@@ -56,28 +55,6 @@ impl ResBlock {
         self.cache_pre_act = Some(h.clone());
         let activated = silu(&h);
         let out = self.conv2.forward(&activated);
-        out.add(x)
-    }
-
-    /// Inference-only batched forward: every sample shares the embedding
-    /// projection (computed once) and streams through one fused pass per
-    /// layer. Per sample the arithmetic is identical to
-    /// [`ResBlock::forward`]; no training caches are written.
-    fn forward_batch(&self, x: &BatchTensor, emb: &[f32]) -> BatchTensor {
-        let mut h = self.conv1.forward_batch(x);
-        let bias = self.emb_proj.forward_infer(emb);
-        let (n, c, hh, ww) = h.shape();
-        let plane = hh * ww;
-        for i in 0..n {
-            let sample = h.sample_mut(i);
-            for (ch, &ch_bias) in bias.iter().enumerate().take(c) {
-                for v in &mut sample[ch * plane..(ch + 1) * plane] {
-                    *v += ch_bias;
-                }
-            }
-        }
-        let activated = silu_batch(&h);
-        let out = self.conv2.forward_batch(&activated);
         out.add(x)
     }
 
@@ -228,55 +205,6 @@ impl UNet {
         let uc = self.up_conv.forward(&cat);
         let h3 = self.up_block.forward(&uc, &emb);
         self.conv_out.forward(&h3)
-    }
-
-    /// Inference-only batched forward: N single-channel maps (all the
-    /// same even `H × W`) at one `(t_norm, cond)` through one fused
-    /// pass per layer.
-    ///
-    /// The time/condition embedding is a function of `(t_norm, cond)`
-    /// alone, so it is computed **once** and shared by every sample;
-    /// each layer then runs the batch through a single output
-    /// allocation. Per sample the arithmetic is identical to
-    /// [`UNet::forward`], so output `i` is byte-identical to the batch-1
-    /// forward of sample `i`. No training caches are written — this
-    /// path cannot be followed by [`UNet::backward`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-single-channel input, odd spatial dims, or a class
-    /// id out of range.
-    #[must_use]
-    pub fn forward_batch(&self, x: &BatchTensor, t_norm: f32, cond: Option<usize>) -> BatchTensor {
-        assert_eq!(x.channels(), 1, "unet expects a single input channel");
-        assert!(
-            x.height().is_multiple_of(2) && x.width().is_multiple_of(2),
-            "unet needs even spatial dims"
-        );
-        if let Some(c) = cond {
-            assert!(c < self.n_classes, "class id {c} out of range");
-        }
-        // Time features + class embedding — shared by the whole batch.
-        let mut feat = sinusoidal_embedding(t_norm);
-        if let Some(c) = cond {
-            let row = &self.cond_emb.values()[c * EMB_DIM..(c + 1) * EMB_DIM];
-            for (f, r) in feat.iter_mut().zip(row) {
-                *f += r;
-            }
-        }
-        let hidden = self.time_lin1.forward_infer(&feat);
-        let emb = self.time_lin2.forward_infer(&silu_vec(&hidden));
-
-        let h0 = self.conv_in.forward_batch(x);
-        let h1 = self.down1.forward_batch(&h0, &emb);
-        let pooled = avg_pool2_batch(&h1);
-        let h2 = self.down2.forward_batch(&pooled, &emb);
-        let m = self.mid.forward_batch(&h2, &emb);
-        let u = upsample2_batch(&m);
-        let cat = concat_channels_batch(&u, &h1);
-        let uc = self.up_conv.forward_batch(&cat);
-        let h3 = self.up_block.forward_batch(&uc, &emb);
-        self.conv_out.forward_batch(&h3)
     }
 
     /// Backward pass from the logit gradient; accumulates all parameter
@@ -461,36 +389,6 @@ mod tests {
             (numeric - analytic).abs() < 0.05 * analytic.abs().max(1.0),
             "numeric {numeric} vs analytic {analytic}"
         );
-    }
-
-    #[test]
-    fn forward_batch_is_byte_identical_to_serial_forward() {
-        let mut net = UNet::new(4, 2, &mut rng());
-        let mut r = rng();
-        for batch in 1..=4usize {
-            let samples: Vec<Tensor> = (0..batch)
-                .map(|_| {
-                    Tensor::from_data(
-                        1,
-                        8,
-                        8,
-                        (0..64)
-                            .map(|_| rand::Rng::gen_range(&mut r, -1.0f32..1.0))
-                            .collect(),
-                    )
-                })
-                .collect();
-            let fused = net.forward_batch(&BatchTensor::from_samples(&samples), 0.4, Some(1));
-            assert_eq!(fused.shape(), (batch, 1, 8, 8));
-            for (i, sample) in samples.iter().enumerate() {
-                let serial = net.forward(sample, 0.4, Some(1));
-                assert_eq!(
-                    fused.sample(i),
-                    serial.as_slice(),
-                    "batch {batch} sample {i} diverged"
-                );
-            }
-        }
     }
 
     #[test]

@@ -515,37 +515,6 @@ impl<T> LaneQueue<T> {
         }
         Some(entry)
     }
-
-    /// Pops up to `limit` items for which `matches` holds, visiting
-    /// tenants in round-robin order and taking only *consecutive*
-    /// matching items from the front of each tenant's FIFO — an item
-    /// never overtakes an earlier non-matching item of its own tenant.
-    /// Tenants keep their round-robin position (riders drained here
-    /// piggyback on a leader that already paid for its dequeue).
-    fn drain_matching(&mut self, limit: usize, matches: &dyn Fn(&T) -> bool, out: &mut Vec<T>) {
-        let mut remaining = limit;
-        let mut kept: Vec<String> = Vec::with_capacity(self.order.len());
-        while remaining > 0 {
-            let Some(tenant) = self.order.pop_front() else {
-                break;
-            };
-            let queue = self.tenants.get_mut(&tenant).expect("tenant has a queue");
-            while remaining > 0 && queue.front().is_some_and(|(item, _)| matches(item)) {
-                let (item, _) = queue.pop_front().expect("front was just observed");
-                out.push(item);
-                self.len -= 1;
-                remaining -= 1;
-            }
-            if queue.is_empty() {
-                self.tenants.remove(&tenant);
-            } else {
-                kept.push(tenant);
-            }
-        }
-        for tenant in kept.into_iter().rev() {
-            self.order.push_front(tenant);
-        }
-    }
 }
 
 /// A bounded, lane-aware, tenant-fair queue.
@@ -638,32 +607,6 @@ impl<T> FairQueue<T> {
             // Every non-empty lane is out of credit: start a new cycle.
             self.credits = self.weights;
         }
-    }
-
-    /// Removes up to `limit` queued items for which `matches` holds —
-    /// the microbatch drain. Lanes are visited in priority order and,
-    /// within a lane, tenants in round-robin order; only *consecutive*
-    /// matching items at the front of each tenant's FIFO are taken, so
-    /// no item ever overtakes an earlier non-matching item of its own
-    /// tenant. Drained riders consume neither lane credits nor
-    /// round-robin turns: they ride on a leader whose [`FairQueue::pop`]
-    /// already paid for the dequeue.
-    pub fn drain_matching<F: Fn(&T) -> bool>(&mut self, limit: usize, matches: F) -> Vec<T> {
-        let mut out = Vec::new();
-        if limit == 0 || self.len == 0 {
-            return out;
-        }
-        for index in 0..LANE_COUNT {
-            let remaining = limit - out.len();
-            if remaining == 0 {
-                break;
-            }
-            if self.lanes[index].len > 0 {
-                self.lanes[index].drain_matching(remaining, &matches, &mut out);
-            }
-        }
-        self.len -= out.len();
-        out
     }
 
     /// Removes and returns every queued item (shutdown drain), in
@@ -1010,38 +953,6 @@ mod tests {
         let drained = queue.drain();
         assert_eq!(drained, vec![2, 1]);
         assert!(queue.is_empty());
-    }
-
-    #[test]
-    fn drain_matching_takes_consecutive_front_matches_only() {
-        let mut queue = FairQueue::new(16, LaneWeights::default());
-        // Tenant a: even, even, odd, even — the drain must stop at the
-        // odd item and never let a4 overtake it.
-        for item in [0, 2, 5, 4] {
-            queue.push(Lane::Standard, "a", item).expect("fits");
-        }
-        // Tenant b: a single even item, drainable.
-        queue.push(Lane::Standard, "b", 6).expect("fits");
-        let (leader, _) = queue.pop().expect("non-empty");
-        assert_eq!(leader, 0);
-        let riders = queue.drain_matching(8, |item| item % 2 == 0);
-        assert_eq!(riders, vec![6, 2], "b was rotated to the front by pop");
-        assert_eq!(queue.len(), 2);
-        // Remaining items dequeue in unchanged FIFO order.
-        let rest: Vec<i32> = std::iter::from_fn(|| queue.pop().map(|(item, _)| item)).collect();
-        assert_eq!(rest, vec![5, 4]);
-    }
-
-    #[test]
-    fn drain_matching_respects_the_limit() {
-        let mut queue = FairQueue::new(16, LaneWeights::default());
-        for index in 0..6 {
-            queue.push(Lane::Batch, "t", index).expect("fits");
-        }
-        let riders = queue.drain_matching(3, |_| true);
-        assert_eq!(riders, vec![0, 1, 2]);
-        assert_eq!(queue.len(), 3);
-        assert!(queue.drain_matching(0, |_| true).is_empty());
     }
 
     #[test]

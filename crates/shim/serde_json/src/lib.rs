@@ -163,9 +163,17 @@ macro_rules! json_internal {
 // Parser
 // ---------------------------------------------------------------------
 
+/// Deepest nesting of arrays and objects the parser accepts — real
+/// `serde_json`'s default recursion limit. The parser is recursive, so
+/// without a bound a long line of `[` would overflow the stack and
+/// abort the process; past the limit parsing fails with an [`Error`].
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 /// Parses one JSON document (trailing whitespace allowed).
@@ -173,6 +181,7 @@ fn parse(text: &str) -> Result<Value, Error> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = parser.value()?;
     parser.skip_whitespace();
@@ -230,8 +239,22 @@ impl Parser<'_> {
             b't' => self.literal("true", Value::Bool(true)),
             b'f' => self.literal("false", Value::Bool(false)),
             b'"' => Ok(Value::String(self.string()?)),
-            b'[' => self.array(),
-            b'{' => self.object(),
+            open @ (b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error::custom(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             _ => self.number(),
         }
     }
@@ -419,6 +442,22 @@ mod tests {
         assert!(from_str::<Value>("[1,]").is_err());
         assert!(from_str::<Value>("nulL").is_err());
         assert!(from_str::<Value>("1 2").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        let err = from_str::<Value>(&nested(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert!(err.to_string().contains("nesting"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(from_str::<Value>(&objects).is_err());
+        // A 100 KB run of `[` fails fast instead of overflowing the stack.
+        assert!(from_str::<Value>(&"[".repeat(100 * 1024)).is_err());
     }
 
     #[test]

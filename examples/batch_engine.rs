@@ -1,6 +1,5 @@
 //! The job-oriented engine: parallel batches, job handles, the result
-//! cache, in-flight request coalescing, cross-request microbatching,
-//! and the stats counters.
+//! cache, in-flight request coalescing, and the stats counters.
 //!
 //! ```sh
 //! cargo run --release --example batch_engine
@@ -11,7 +10,6 @@ use chatpattern::{
     BackendKind, ChatPattern, EngineConfig, Error, GenerateParams, PatternEngine, PatternRequest,
     PatternService, ResponsePayload,
 };
-use std::time::Instant;
 
 fn generate(seed: u64) -> PatternRequest {
     PatternRequest::Generate(GenerateParams {
@@ -48,7 +46,6 @@ fn main() -> Result<(), Error> {
             workers: 4,
             queue_depth: 64,
             cache_capacity: 32,
-            max_microbatch: 1,
         },
     )?;
 
@@ -118,53 +115,5 @@ fn main() -> Result<(), Error> {
         stats.queue_depths,
     );
 
-    // Cross-request microbatching: with `max_microbatch > 1`, a worker
-    // that pops a job also drains queued batch-compatible jobs (same
-    // style/shape/count, any seed) and runs them as one fused
-    // `sample_batch` — byte-identical to solo execution. One worker
-    // plus a batch-incompatible blocker (count=8 vs. the riders'
-    // count=1) makes the fusing deterministic here: the blocker pins
-    // the worker while all eight riders queue up behind it.
-    let timed_burst = |max_microbatch: usize| -> Result<(f64, Vec<ResponsePayload>, u64), Error> {
-        let engine = PatternEngine::with_config(
-            std::sync::Arc::clone(&system),
-            EngineConfig {
-                backend: BackendKind::ThreadPool,
-                workers: 1,
-                queue_depth: 64,
-                cache_capacity: 0,
-                max_microbatch,
-            },
-        )?;
-        let blocker = engine.submit_blocking(PatternRequest::Generate(GenerateParams {
-            style: Style::Layer10001,
-            rows: 16,
-            cols: 16,
-            count: 8,
-            seed: 0,
-        }));
-        let started = Instant::now();
-        let handles: Vec<_> = (0..8)
-            .map(|seed| engine.submit_blocking(generate(2 * seed)))
-            .collect();
-        blocker.wait()?;
-        let mut payloads = Vec::new();
-        for handle in handles {
-            payloads.push(handle.wait()?.payload);
-        }
-        let millis = started.elapsed().as_secs_f64() * 1e3;
-        Ok((millis, payloads, engine.stats().batched))
-    };
-    let (solo_ms, solo_payloads, _) = timed_burst(1)?;
-    let (fused_ms, fused_payloads, fused_jobs) = timed_burst(8)?;
-    assert_eq!(
-        solo_payloads, fused_payloads,
-        "fused burst must be byte-identical to the solo burst"
-    );
-    println!(
-        "microbatching: 8-job burst {solo_ms:.1} ms solo, {fused_ms:.1} ms fused \
-         ({:.2}x, {fused_jobs} jobs fused, results byte-identical)",
-        solo_ms / fused_ms
-    );
     Ok(())
 }

@@ -17,13 +17,10 @@
 # floods past its --tenant-quota collects typed Overloaded envelopes
 # with a retry_after_ms hint while a calm tenant on the same server
 # still completes, with the rejection counted in the per-tenant stats
-# ledger, and (j) a single-worker serve with --max-microbatch fuses a
-# batch-compatible Generate burst (batched > 0 in --stats) with
-# replies payload-identical to a serial run, and (k) the epoll
-# event-loop transport (`--transport event-loop`) answers the same
-# fixture payload-identical to the stdio run and reports its
-# connection counters in --stats. Run from anywhere; needs jq and
-# built (or buildable) release binaries.
+# ledger, and (j) the epoll event-loop transport (`--transport
+# event-loop`) answers the same fixture payload-identical to the stdio
+# run and reports its connection counters in --stats. Run from
+# anywhere; needs jq and built (or buildable) release binaries.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -489,46 +486,7 @@ fi
 
 echo "wire smoke OK: QoS overload burst ($REJECTED_WIRE typed Overloaded with retry hint, calm tenant unharmed, ledger matches)"
 
-# (j) Microbatching: a single-worker serve with --max-microbatch fuses
-# a burst of batch-compatible Generate frames (same style/shape/count,
-# different seeds) queued behind a batch-incompatible blocker into
-# fused executions — the stats line must report batched > 0 — and the
-# replies must be payload-identical to the same burst through a serial
-# (--max-microbatch default 1) serve.
-MB_N=8
-MB_DIR=$(mktemp -d)
-# The blocker's count=8 differs from the riders' count=1, so it never
-# fuses with them; it just holds the single worker while the riders
-# queue up behind it.
-MB_BURST=$(
-    printf '{"id":"mb-block","request":{"Generate":{"style":"Layer10003","rows":16,"cols":16,"count":8,"seed":777}}}\n'
-    for i in $(seq 1 $MB_N); do
-        printf '{"id":"mb-%d","request":{"Generate":{"style":"Layer10001","rows":16,"cols":16,"count":1,"seed":%d}}}\n' "$i" "$i"
-    done
-)
-MB_FLAGS=(--window 16 --training-patterns 8 --diffusion-steps 6 --seed 3 --workers 1 --cache-capacity 0)
-
-FUSED_OUT=$(echo "$MB_BURST" | "$BIN" "${MB_FLAGS[@]}" --max-microbatch $MB_N --stats 2> "$MB_DIR/err")
-SERIAL_OUT=$(echo "$MB_BURST" | "$BIN" "${MB_FLAGS[@]}" 2> /dev/null)
-
-echo "$FUSED_OUT" | jq -es 'all(.[]; .outcome | has("Ok"))' > /dev/null \
-    || { echo "wire smoke FAILED: microbatched burst reply errored" >&2; rm -rf "$MB_DIR"; exit 1; }
-if ! diff <(echo "$FUSED_OUT" | normalize) <(echo "$SERIAL_OUT" | normalize); then
-    echo "wire smoke FAILED: microbatched replies differ from the serial run" >&2
-    rm -rf "$MB_DIR"
-    exit 1
-fi
-
-BATCHED=$(grep -o 'batched=[0-9]*' "$MB_DIR/err" | cut -d= -f2)
-rm -rf "$MB_DIR"
-if [ -z "$BATCHED" ] || [ "$BATCHED" -eq 0 ]; then
-    echo "wire smoke FAILED: --max-microbatch $MB_N burst reported batched=${BATCHED:-missing} (want > 0)" >&2
-    exit 1
-fi
-
-echo "wire smoke OK: microbatched burst ($BATCHED of $MB_N jobs fused, replies identical to serial)"
-
-# (k) Event-loop transport equivalence: the same fixture over
+# (j) Event-loop transport equivalence: the same fixture over
 # `--listen ... --transport event-loop` must be payload-identical to
 # the stdio run from section (g) (same FLAGS, same normalize), and the
 # stats flush on disconnect must carry the new connection counters.

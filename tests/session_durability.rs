@@ -68,7 +68,6 @@ fn engine(system: ChatPattern) -> PatternEngine<ChatPattern> {
             workers: 2,
             queue_depth: 16,
             cache_capacity: 16,
-            max_microbatch: 1,
         },
     )
     .expect("valid engine config")

@@ -51,7 +51,6 @@ fn build_engine() -> Arc<PatternEngine<Arc<ChatPattern>>> {
                 workers: 2,
                 queue_depth: 512,
                 cache_capacity: 0,
-                max_microbatch: 1,
             },
         )
         .expect("valid engine config"),
@@ -277,7 +276,11 @@ fn poll_fallback_backend_serves_round_trips() {
 #[test]
 fn shutdown_drains_replies_queued_before_close() {
     let engine = build_engine();
-    let handle = spawn_event_loop(&engine, EventLoopConfig::default());
+    let handler = Arc::new(EngineHandler::new(Arc::clone(&engine)));
+    let handle = EventLoopServer::bind("127.0.0.1:0", EventLoopConfig::default())
+        .expect("loopback bind")
+        .spawn(Arc::clone(&handler))
+        .expect("event loop spawns");
 
     // Send a batch of requests and read NOTHING: every reply lands in
     // the connection's outbound queue (and whatever slice of it the
@@ -294,16 +297,21 @@ fn shutdown_drains_replies_queued_before_close() {
     }
 
     // Wait until every reply has been accepted into the outbound path,
-    // then shut the server down with all of them still unread.
+    // then shut the server down with all of them still unread. The
+    // engine counts a job completed before its reply is handed to the
+    // connection, so once all requests are submitted, wait on the
+    // handler: it counts a request answered only once its reply line
+    // is queued.
     let deadline = Instant::now() + Duration::from_secs(120);
-    while engine.stats().completed < REQUESTS {
+    while engine.stats().submitted < REQUESTS {
         assert!(
             Instant::now() < deadline,
-            "engine stalled: {:?}",
+            "requests never reached the engine: {:?}",
             engine.stats()
         );
         std::thread::sleep(Duration::from_millis(5));
     }
+    handler.drain();
     handle.shutdown();
 
     // Accepted replies must not vanish: the teardown write pass drains
